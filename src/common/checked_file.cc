@@ -9,6 +9,10 @@ namespace {
 
 constexpr char kMagic[8] = {'S', 'I', 'M', 'C', 'K', 'V', '2', '\n'};
 constexpr uint32_t kFormatVersion = 2;
+// Smallest section-table entry on the wire: u64 name length (empty name),
+// u64 payload length, u32 crc.
+constexpr size_t kMinTableEntryBytes =
+    2 * sizeof(uint64_t) + sizeof(uint32_t);
 
 }  // namespace
 
@@ -75,6 +79,14 @@ Result<CheckedFileReader> CheckedFileReader::FromBytes(
   SIMCARD_RETURN_IF_ERROR(in.ReadU32(&section_count));
   SIMCARD_RETURN_IF_ERROR(in.ReadU64(&payload_length));
 
+  // Every count and size below is untrusted until the header CRC checks
+  // out, so each is bounded by the bytes that could back it before it
+  // sizes an allocation or feeds an offset.
+  if (section_count > in.remaining() / kMinTableEntryBytes) {
+    return Status::IoError("checked container: section count " +
+                           std::to_string(section_count) +
+                           " exceeds what the file can hold");
+  }
   CheckedFileReader reader;
   reader.sections_.reserve(section_count);
   uint64_t payload_seen = 0;
@@ -84,6 +96,12 @@ Result<CheckedFileReader> CheckedFileReader::FromBytes(
     uint64_t size = 0;
     SIMCARD_RETURN_IF_ERROR(in.ReadU64(&size));
     SIMCARD_RETURN_IF_ERROR(in.ReadU32(&info.crc));
+    // payload_seen <= bytes.size() holds on entry, so this cannot wrap.
+    if (size > bytes.size() - payload_seen) {
+      return Status::IoError("checked container: section '" + info.name +
+                             "' declares " + std::to_string(size) +
+                             " bytes, more than the file holds");
+    }
     info.size = size;
     payload_seen += size;
     reader.sections_.push_back(std::move(info));

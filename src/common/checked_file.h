@@ -14,7 +14,10 @@
 //
 // Guarantees: any truncation, any bit flip — in the header, the table, or a
 // payload — is detected before a single payload byte is interpreted (header
-// CRC covers the table; per-section CRCs cover payloads). Readers locate
+// CRC covers the table; per-section CRCs cover payloads). Counts and sizes
+// read from the file are bounded by the file's own length before they size
+// an allocation or an offset, so a corrupt header yields an IoError, never
+// an oversized reserve or an offset past the buffer. Readers locate
 // sections by name, so new sections can be appended without breaking old
 // readers and unknown sections are skipped (forward compatibility).
 //

@@ -1002,6 +1002,16 @@ Status GlEstimator::LoadLegacyV1(Deserializer* in, const std::string& path) {
   SIMCARD_RETURN_IF_ERROR(tuned_qes_.Deserialize(in));
   uint64_t n_locals = 0;
   SIMCARD_RETURN_IF_ERROR(in->ReadU64(&n_locals));
+  // v1 files carry no CRC: bound the count by the bytes left before it
+  // sizes anything. A local model is at least a u64 segment index, an f64
+  // max cardinality and a u32 trained flag.
+  constexpr uint64_t kMinLocalBytes =
+      sizeof(uint64_t) + sizeof(double) + sizeof(uint32_t);
+  if (n_locals > in->remaining() / kMinLocalBytes) {
+    return Status::IoError("model file: local model count " +
+                           std::to_string(n_locals) +
+                           " exceeds remaining bytes: " + path);
+  }
   locals_.clear();
   locals_.reserve(n_locals);
   for (uint64_t s = 0; s < n_locals; ++s) {
@@ -1046,6 +1056,15 @@ Status GlEstimator::LoadChecked(std::vector<uint8_t> bytes, LoadMode mode) {
   SIMCARD_RETURN_IF_ERROR(meta.ReadU64(&dim));
   SIMCARD_RETURN_IF_ERROR(meta.ReadU64(&n_locals));
   SIMCARD_RETURN_IF_ERROR(meta.ReadU32(&has_global));
+  // WriteCheckedSections writes one "local.<s>" section per local model,
+  // so a count the section table cannot back is corruption in either mode.
+  if (n_locals > reader.sections().size()) {
+    return Status::IoError("checked model: meta declares " +
+                           std::to_string(n_locals) +
+                           " local models but the file has " +
+                           std::to_string(reader.sections().size()) +
+                           " sections");
+  }
   metric_ = static_cast<Metric>(metric);
   dim_ = dim;
 
@@ -1084,6 +1103,13 @@ Status GlEstimator::LoadChecked(std::vector<uint8_t> bytes, LoadMode mode) {
       Deserializer fb = std::move(fb_or).value();
       uint64_t n_fb = 0;
       SIMCARD_RETURN_IF_ERROR(fb.ReadU64(&n_fb));
+      // Each fallback is at least a u64 size plus a u64 sample count.
+      constexpr uint64_t kMinFallbackBytes = 2 * sizeof(uint64_t);
+      if (n_fb > fb.remaining() / kMinFallbackBytes) {
+        return Status::IoError("checked model: fallback count " +
+                               std::to_string(n_fb) +
+                               " exceeds its section's bytes");
+      }
       fallbacks_.reserve(n_fb);
       for (uint64_t i = 0; i < n_fb; ++i) {
         SegmentFallback fallback;

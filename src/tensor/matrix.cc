@@ -105,7 +105,11 @@ Status Matrix::Deserialize(Deserializer* in) {
   SIMCARD_RETURN_IF_ERROR(in->ReadU64(&cols));
   std::vector<float> data;
   SIMCARD_RETURN_IF_ERROR(in->ReadFloatVector(&data));
-  if (data.size() != rows * cols) {
+  // rows * cols can wrap in 64 bits; compare through a division instead.
+  const bool size_ok = cols != 0 ? rows <= data.size() / cols &&
+                                       rows * cols == data.size()
+                                 : data.empty();
+  if (!size_ok) {
     return Status::Internal("matrix payload size mismatch");
   }
   rows_ = rows;

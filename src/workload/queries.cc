@@ -167,7 +167,9 @@ Status DeserializeQuerySet(Deserializer* in,
                            std::vector<LabeledQuery>* queries) {
   uint64_t n = 0;
   SIMCARD_RETURN_IF_ERROR(in->ReadU64(&n));
-  if (n > in->remaining()) {
+  // Each entry is at least a u32 row plus a u64 threshold count.
+  constexpr uint64_t kMinEntryBytes = sizeof(uint32_t) + sizeof(uint64_t);
+  if (n > in->remaining() / kMinEntryBytes) {
     return Status::OutOfRange("query set count exceeds buffer");
   }
   queries->resize(n);
@@ -175,7 +177,7 @@ Status DeserializeQuerySet(Deserializer* in,
     SIMCARD_RETURN_IF_ERROR(in->ReadU32(&lq.row));
     uint64_t taus = 0;
     SIMCARD_RETURN_IF_ERROR(in->ReadU64(&taus));
-    if (taus * sizeof(float) > in->remaining()) {
+    if (taus > in->remaining() / sizeof(float)) {  // taus * 4 can wrap
       return Status::OutOfRange("threshold count exceeds buffer");
     }
     lq.thresholds.resize(taus);

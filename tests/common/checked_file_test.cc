@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/crc32.h"
+
 namespace simcard {
 namespace {
 
@@ -94,6 +96,32 @@ TEST(CheckedFileTest, HeaderBitFlipIsDetected) {
     bytes[off] ^= 0x80;
     EXPECT_FALSE(CheckedFileReader::FromBytes(bytes).ok()) << "offset " << off;
   }
+}
+
+TEST(CheckedFileTest, WrappedSectionSizesAreRejected) {
+  CheckedFileWriter writer;
+  writer.AddSection("a")->WriteU64(1);
+  writer.AddSection("b")->WriteU64(2);
+  auto bytes = writer.Assemble();
+  // Header: magic(8) version(4) count(4) payload_length(8), then per section
+  // name length(8) + name(1) + size(8) + crc(4), then the header CRC.
+  const size_t kTableStart = 24;
+  const size_t kEntryBytes = 8 + 1 + 8 + 4;
+  const size_t header_end = kTableStart + 2 * kEntryBytes;
+  ASSERT_EQ(bytes.size(), header_end + 4 + 16);
+  // 2 * (2^63 + 8) wraps to 16, the declared payload length.
+  const uint64_t huge = (uint64_t{1} << 63) + 8;
+  for (size_t i = 0; i < 2; ++i) {
+    const size_t size_at = kTableStart + i * kEntryBytes + 8 + 1;
+    for (size_t b = 0; b < 8; ++b) {
+      bytes[size_at + b] = static_cast<uint8_t>(huge >> (8 * b));
+    }
+  }
+  const uint32_t crc = Crc32(bytes.data(), header_end);
+  for (size_t b = 0; b < 4; ++b) {
+    bytes[header_end + b] = static_cast<uint8_t>(crc >> (8 * b));
+  }
+  EXPECT_FALSE(CheckedFileReader::FromBytes(bytes).ok());
 }
 
 TEST(CheckedFileTest, TruncationIsDetected) {

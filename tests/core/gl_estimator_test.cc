@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
+#include "common/checked_file.h"
 #include "eval/harness.h"
 #include "support/request_helpers.h"
 
@@ -189,6 +192,54 @@ TEST(GlEstimatorTest, IncrementalUpdatesKeepAccuracy) {
 
   const double after = EvaluateSearch(&est, env.workload).qerror.median;
   EXPECT_LT(after, std::max(4.0, 2.5 * before));
+}
+
+// A checked model container with empty structural sections and the given
+// local-model and fallback counts (no local sections follow).
+std::vector<uint8_t> CheckedModelWithCounts(uint64_t n_locals, uint64_t n_fb) {
+  CheckedFileWriter writer;
+  Serializer* meta = writer.AddSection("meta");
+  meta->WriteU32(0);  // metric
+  meta->WriteU64(4);  // dim
+  meta->WriteU64(n_locals);
+  meta->WriteU32(0);  // no global model
+  Segmentation().Serialize(writer.AddSection("segmentation"));
+  QesConfig().Serialize(writer.AddSection("qes"));
+  writer.AddSection("fallback")->WriteU64(n_fb);
+  return writer.Assemble();
+}
+
+TEST(GlEstimatorTest, CheckedLoadRejectsLocalCountBeyondSectionTable) {
+  const auto bytes = CheckedModelWithCounts(uint64_t{1} << 40, 0);
+  for (auto mode : {GlEstimator::LoadMode::kStrict,
+                    GlEstimator::LoadMode::kDegraded}) {
+    GlEstimator est(GlEstimatorConfig::GlCnn());
+    EXPECT_EQ(est.LoadFromBytes(bytes, mode).code(), StatusCode::kIoError);
+  }
+}
+
+TEST(GlEstimatorTest, CheckedLoadRejectsOversizedFallbackCount) {
+  GlEstimator est(GlEstimatorConfig::GlCnn());
+  EXPECT_EQ(
+      est.LoadFromBytes(CheckedModelWithCounts(0, uint64_t{1} << 40)).code(),
+      StatusCode::kIoError);
+}
+
+TEST(GlEstimatorTest, LegacyLoadRejectsOversizedLocalCount) {
+  // v1 files carry no CRC, so the local count is the first line of defence.
+  Serializer v1;
+  v1.WriteString("simcard.gl.v1");
+  v1.WriteU32(0);  // metric
+  v1.WriteU64(4);  // dim
+  Segmentation().Serialize(&v1);
+  QesConfig().Serialize(&v1);
+  v1.WriteU64(uint64_t{1} << 62);  // local model count
+  const std::string path =
+      testing::TempDir() + "/gl_estimator_legacy_count.bin";
+  ASSERT_TRUE(v1.SaveToFile(path).ok());
+  GlEstimator est(GlEstimatorConfig::GlCnn());
+  EXPECT_EQ(est.LoadFromFile(path).code(), StatusCode::kIoError);
+  std::remove(path.c_str());
 }
 
 }  // namespace

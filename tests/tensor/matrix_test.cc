@@ -109,6 +109,19 @@ TEST(MatrixTest, SerializationRoundTrip) {
   EXPECT_TRUE(m.AllClose(restored, 0.0f));
 }
 
+TEST(MatrixTest, DeserializeRejectsWrappingRowCount) {
+  Matrix m(2, 4);
+  Serializer out;
+  m.Serialize(&out);
+  auto bytes = out.bytes();
+  // Top bit of the little-endian u64 row count: rows = 2^63 + 2, and
+  // rows * 4 wraps to the 8 floats actually present.
+  bytes[7] ^= 0x80;
+  Deserializer in(bytes);
+  Matrix restored;
+  EXPECT_FALSE(restored.Deserialize(&in).ok());
+}
+
 TEST(MatrixTest, ToStringShowsShape) {
   Matrix m(2, 3);
   EXPECT_NE(m.ToString().find("2x3"), std::string::npos);

@@ -188,5 +188,16 @@ TEST(WorkloadTest, RelabelAfterAppendIncreasesCards) {
   }
 }
 
+TEST(WorkloadTest, DeserializeRejectsWrappingThresholdCount) {
+  Serializer out;
+  Matrix().Serialize(&out);  // train queries
+  Matrix().Serialize(&out);  // test queries
+  out.WriteU64(1);           // one labelled train query...
+  out.WriteU32(0);
+  out.WriteU64(uint64_t{1} << 62);  // ...whose count * 4 wraps to 0
+  Deserializer in(out.bytes());
+  EXPECT_FALSE(DeserializeQueries(&in).ok());
+}
+
 }  // namespace
 }  // namespace simcard
