@@ -30,6 +30,13 @@ struct LayerCase {
   double tol = kTol;
 };
 
+// Without a printer gtest dumps the raw bytes of each case into its listed
+// name, and those bytes hold a heap address, so the registered test names
+// would differ from one build (and process) to the next.
+void PrintTo(const LayerCase& c, std::ostream* os) {
+  *os << "in_cols=" << c.in_cols;
+}
+
 class LayerGradientTest : public ::testing::TestWithParam<LayerCase> {};
 
 TEST_P(LayerGradientTest, AnalyticMatchesNumeric) {
