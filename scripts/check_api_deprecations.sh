@@ -1,18 +1,14 @@
 #!/usr/bin/env bash
-# Gate on the deprecated estimation entry points: no in-tree code (src/,
-# bench/, examples/, tests/) may call the legacy overloads that the unified
-# EstimateRequest API replaced:
+# Gate against the removed estimation entry points: no in-tree code (src/,
+# bench/, examples/, tests/) may declare or call the pointer-and-tau
+# overloads that the unified EstimateRequest API replaced:
 #
 #   Estimator/GlEstimator::EstimateSearch(const float*, float[, policy])
 #   EstimationService::Submit(const float*, size_t, float)
 #   EstimationService::Submit(std::vector<float>, float, double)
 #
-# The shims themselves stay (external callers get a migration window): the
-# defining headers are allowlisted, and tests/core/deprecated_shim_test.cc
-# is the one test allowed to call them — it pins each shim to the request
-# API answer so the compatibility surface keeps working. Everything else in
-# tests/ goes through tests/support/request_helpers.h or builds an
-# EstimateRequest directly.
+# They are gone; this scan keeps them from coming back. Tests go through
+# tests/support/request_helpers.h or build an EstimateRequest directly.
 #
 # Usage: scripts/check_api_deprecations.sh [repo_root]
 set -euo pipefail
@@ -22,32 +18,13 @@ cd "${REPO_ROOT}"
 
 SCAN_DIRS=(src bench examples tests)
 
-# Files allowed to mention the deprecated names: the shim definitions and
-# the parity test that keeps them covered.
-ALLOWLIST=(
-  "src/core/estimator.h"
-  "src/core/gl_estimator.h"
-  "src/serve/estimation_service.h"
-  "tests/core/deprecated_shim_test.cc"
-)
-
-is_allowed() {
-  local file="$1"
-  for allowed in "${ALLOWLIST[@]}"; do
-    [[ "${file}" == "${allowed}" ]] && return 0
-  done
-  return 1
-}
-
 fail=0
 
-# `EstimateSearch(` matches calls and declarations of the deprecated single
+# `EstimateSearch(` matches calls and declarations of the removed single
 # overload but not EstimateSearchBatch(.
 while IFS=: read -r file line text; do
-  if ! is_allowed "${file}"; then
-    echo "deprecated EstimateSearch( call: ${file}:${line}: ${text}" >&2
-    fail=1
-  fi
+  echo "removed EstimateSearch( call: ${file}:${line}: ${text}" >&2
+  fail=1
 done < <(grep -rn --include='*.cc' --include='*.h' 'EstimateSearch(' \
            "${SCAN_DIRS[@]}" 2>/dev/null || true)
 
@@ -60,10 +37,8 @@ done < <(grep -rn --include='*.cc' --include='*.h' 'EstimateSearch(' \
 # ThreadPool::Submit(lambda) is not caught: a lambda first arg starts with
 # `[`, and single-argument std::move(fn) has no trailing comma.
 while IFS=: read -r file line text; do
-  if ! is_allowed "${file}"; then
-    echo "deprecated Submit overload call: ${file}:${line}: ${text}" >&2
-    fail=1
-  fi
+  echo "removed Submit overload call: ${file}:${line}: ${text}" >&2
+  fail=1
 done < <(grep -rnE --include='*.cc' --include='*.h' \
            'Submit\((std::vector<float>|std::move\([a-zA-Z_]+\), *[a-zA-Z_0-9.]+, |[a-zA-Z_][a-zA-Z_0-9]*\(\), |[a-zA-Z_][a-zA-Z_0-9.]*\.data\(\), )' \
            "${SCAN_DIRS[@]}" 2>/dev/null || true)
@@ -74,5 +49,5 @@ if [[ "${fail}" -ne 0 ]]; then
   echo "  (tests can use tests/support/request_helpers.h)" >&2
   exit 1
 fi
-echo "check_api_deprecations: no deprecated estimation calls in" \
+echo "check_api_deprecations: no removed estimation calls in" \
      "src/ bench/ examples/ tests/"

@@ -253,19 +253,11 @@ void CardModel::BackwardPooled(const Matrix& grad) {
 
 double CardModel::EstimateCard(const float* query, float tau,
                                const float* aux) const {
-  Matrix xq(1, config_.query_dim);
-  xq.SetRow(0, query);
-  Matrix xtau(1, 1);
-  xtau.at(0, 0) = tau;
-  Matrix xaux;
-  if (aux_tower_ != nullptr) {
-    assert(aux != nullptr);
-    xaux = Matrix(1, config_.aux_dim);
-    xaux.SetRow(0, aux);
-  }
-  const float u = std::min(
-      kLogCardHi, std::max(kLogCardLo, Apply(xq, xtau, xaux).at(0, 0)));
-  return std::exp(static_cast<double>(u));
+  return ApplyBatch(Matrix::RowVector(query, config_.query_dim),
+                    Matrix::RowVector(&tau, 1),
+                    aux_tower_ != nullptr
+                        ? Matrix::RowVector(aux, config_.aux_dim)
+                        : Matrix())[0];
 }
 
 std::vector<double> CardModel::ApplyBatch(const Matrix& xq,

@@ -88,15 +88,15 @@ class CardModel {
   /// Backprop for the last ForwardPooled; `grad` is [1,1].
   void BackwardPooled(const Matrix& grad);
 
-  /// Convenience single-query estimate (returns raw cardinality, not log).
-  /// Runs on the stateless Apply path, so it is const and thread-safe.
+  /// Convenience single-query estimate (returns raw cardinality, not log):
+  /// a batch of one through ApplyBatch. Runs on the stateless Apply path,
+  /// so it is const and thread-safe.
   double EstimateCard(const float* query, float tau, const float* aux) const;
 
-  /// Batch twin of EstimateCard: one Apply over all rows, then the same
-  /// per-row log-card clamp and exponentiation. Row i of the result equals
-  /// EstimateCard(xq.Row(i), xtau.at(i,0), xaux.Row(i)) bitwise (every
-  /// layer is row-independent; see DESIGN.md §11). `xaux` is ignored when
-  /// the model has no aux tower.
+  /// One Apply over all rows, then the per-row log-card clamp and
+  /// exponentiation. Row i of the result equals EstimateCard(xq.Row(i),
+  /// xtau.at(i,0), xaux.Row(i)) bitwise (every layer is row-independent;
+  /// see DESIGN.md §11). `xaux` is ignored when the model has no aux tower.
   std::vector<double> ApplyBatch(const Matrix& xq, const Matrix& xtau,
                                  const Matrix& xaux) const;
 

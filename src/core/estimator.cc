@@ -30,7 +30,7 @@ double Estimator::EstimateJoin(const Matrix& queries,
 float InvertCardinality(Estimator* estimator, const float* query,
                         double target, float lo, float hi, int iterations) {
   // The caller hands us a bare pointer, so the request carries the
-  // legacy empty-span encoding (length unknown, trust dim()).
+  // empty-span encoding (length unknown, trust dim()).
   const auto at = [&](float tau) {
     return estimator->Estimate(EstimateRequest{
         std::span<const float>(query, static_cast<size_t>(0)), tau, {}});

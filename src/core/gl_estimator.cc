@@ -215,20 +215,14 @@ struct GlQueryMetrics {
       "gl.global_prob", obs::Histogram::LinearBuckets(0.05, 0.05, 20));
   obs::Histogram* selected_hist = obs::GetHistogram(
       "gl.selected_segments", obs::Histogram::LinearBuckets(1.0, 1.0, 64));
+  // Phase timings are recorded once per EstimateSearchBatch call: per
+  // query for Estimate (a batch of one), per batch for a micro-batch.
   obs::Histogram* features_us = obs::GetHistogram("gl.latency.features_us");
   obs::Histogram* global_us = obs::GetHistogram("gl.latency.global_us");
   obs::Histogram* locals_us = obs::GetHistogram("gl.latency.locals_us");
   obs::Histogram* total_us = obs::GetHistogram("gl.latency.total_us");
-  // Batch-path phase timings are recorded per *batch* (the per-query
-  // gl.latency.* histograms stay single-path only so their distributions
-  // keep meaning "one query's cost").
   obs::Histogram* batch_rows = obs::GetHistogram(
       "gl.batch.rows", obs::Histogram::LinearBuckets(1.0, 1.0, 64));
-  obs::Histogram* batch_features_us =
-      obs::GetHistogram("gl.batch.features_us");
-  obs::Histogram* batch_global_us = obs::GetHistogram("gl.batch.global_us");
-  obs::Histogram* batch_locals_us = obs::GetHistogram("gl.batch.locals_us");
-  obs::Histogram* batch_total_us = obs::GetHistogram("gl.batch.total_us");
   // Degradation events, labeled by reason (see DESIGN.md, failure model).
   obs::Counter* fb_invalid_query = obs::GetCounter("simcard.fallback.invalid_query");
   obs::Counter* fb_invalid_tau = obs::GetCounter("simcard.fallback.invalid_tau");
@@ -244,7 +238,7 @@ GlQueryMetrics& QueryMetrics() {
 }
 
 // How one selected segment was answered; drives the probe/trace/health
-// bookkeeping shared by the single and batch eval loops.
+// bookkeeping of the eval loop.
 enum class SegOutcome {
   kLocal,     // local model produced the answer
   kFallback,  // sampling fallback (quarantined slot or non-finite local)
@@ -342,22 +336,20 @@ size_t GlEstimator::num_quarantined_locals() const {
   return n;
 }
 
-void GlEstimator::SelectWithGuards(const float* probs, const float* xc,
-                                   float tau, SelectScratch* scratch,
-                                   std::vector<size_t>* selected_out,
-                                   std::vector<char>* forced_out) const {
+size_t GlEstimator::SelectWithGuards(const float* probs, const float* xc,
+                                     float tau, std::vector<char>* keep_scratch,
+                                     std::vector<size_t>* selected_out) const {
   const bool enabled = obs::MetricsEnabled();
   GlQueryMetrics& m = QueryMetrics();
   const size_t n_seg = locals_.size();
   std::vector<size_t>& selected = *selected_out;
   global_->SelectSegmentsInto(std::span<const float>(probs, n_seg),
                               &selected);
-  std::vector<char>& forced = scratch->forced;
-  forced.assign(n_seg, 0);
+  size_t forced = 0;
   if (config_.use_triangle_guards) {
     // Exclusion: |d(q,p) - d(q,c)| <= d(c,p) <= radius for all members p,
     // so xc[s] > tau + radius[s] proves the segment holds no match.
-    std::vector<char>& keep = scratch->keep;
+    std::vector<char>& keep = *keep_scratch;
     keep.assign(n_seg, 0);
     for (size_t s : selected) {
       keep[s] = xc[s] <= tau + segmentation_.radius[s];
@@ -368,7 +360,7 @@ void GlEstimator::SelectWithGuards(const float* probs, const float* xc,
     for (size_t s = 0; s < n_seg; ++s) {
       if (xc[s] <= tau) {
         if (keep[s] == 0) {
-          forced[s] = 1;
+          ++forced;
           if (enabled) m.triangle_forced->Increment();
         }
         keep[s] = 1;
@@ -379,107 +371,7 @@ void GlEstimator::SelectWithGuards(const float* probs, const float* xc,
       if (keep[s]) selected.push_back(s);
     }
   }
-  // The forced flags come back parallel to the selected list; callers that
-  // only need the segment set (the batch path) pass null and skip the copy.
-  if (forced_out != nullptr) {
-    forced_out->clear();
-    forced_out->reserve(selected.size());
-    for (size_t s : selected) forced_out->push_back(forced[s]);
-  }
-}
-
-std::vector<SegmentEstimate> GlEstimator::EstimatePerSegment(
-    const float* query, float tau, SegmentEvalPolicy* policy,
-    EstimateProbe* probe) const {
-  const bool enabled = obs::MetricsEnabled();
-  GlQueryMetrics& m = QueryMetrics();
-  Stopwatch total;
-  Stopwatch phase;
-  // An estimator must never turn a malformed query into NaN arithmetic: a
-  // non-finite query vector or threshold has no meaningful cardinality, so
-  // answer 0 (the only estimate valid for every dataset) and record why.
-  if (query == nullptr || !VectorIsFinite(query, dim_)) {
-    if (enabled) m.fb_invalid_query->Increment();
-    return {};
-  }
-  if (!std::isfinite(tau) || tau < 0.0f) {
-    if (enabled) m.fb_invalid_tau->Increment();
-    return {};
-  }
-  std::vector<float> xc =
-      segmentation_.CentroidDistances(query, dim_, metric_);
-  if (enabled) m.features_us->Record(phase.ElapsedMicros());
-  std::vector<size_t> selected;
-  std::vector<char> forced;
-  // Hoisted out of the global_ branch so the per-segment outcome loop below
-  // can hand each segment's membership probability to the probe (empty means
-  // no global model: every segment reports probability 1).
-  std::vector<float> gprobs;
-  if (global_ != nullptr) {
-    if (enabled) phase.Restart();
-    gprobs = global_->Probabilities(query, tau, xc.data());
-    if (enabled) {
-      m.global_us->Record(phase.ElapsedMicros());
-      for (float p : gprobs) m.global_prob->Record(p);
-    }
-    SelectScratch scratch;
-    SelectWithGuards(gprobs.data(), xc.data(), tau, &scratch, &selected,
-                     &forced);
-  } else {
-    selected.resize(locals_.size());
-    for (size_t s = 0; s < locals_.size(); ++s) selected[s] = s;
-    forced.assign(locals_.size(), 0);
-  }
-  if (enabled) phase.Restart();
-  std::vector<SegmentEstimate> out;
-  out.reserve(selected.size());
-  for (size_t i = 0; i < selected.size(); ++i) {
-    const size_t s = selected[i];
-    const float prob = gprobs.empty() ? 1.0f : gprobs[s];
-    SegmentEstimate se;
-    se.segment = s;
-    se.forced = forced[i] != 0;
-    if (probe != nullptr && se.forced) probe->NoteForced();
-    if (locals_[s] == nullptr) {
-      // Quarantined by a degraded load: the sampling fallback answers.
-      se.estimate = FallbackEstimate(s, query, tau);
-      se.used_fallback = true;
-      if (enabled) m.fb_local_missing->Increment();
-      NoteSegmentOutcome(probe, enabled, s, SegOutcome::kFallback, prob);
-    } else if (policy != nullptr && policy->ForceFallback(s)) {
-      // The caller's policy (e.g. an open circuit breaker) short-circuits
-      // this segment to the fallback without touching the local model.
-      se.estimate = FallbackEstimate(s, query, tau);
-      se.used_fallback = true;
-      NoteSegmentOutcome(probe, enabled, s, SegOutcome::kBreaker, prob);
-    } else {
-      double est = locals_[s]->Estimate(query, tau, xc.data());
-      if (fault::ShouldFail("gl.local_eval")) {
-        est = std::numeric_limits<double>::quiet_NaN();
-      }
-      const bool ok = std::isfinite(est) && est >= 0.0;
-      if (policy != nullptr) policy->OnLocalResult(s, ok);
-      if (!ok) {
-        est = FallbackEstimate(s, query, tau);
-        se.used_fallback = true;
-        if (enabled) m.fb_local_nonfinite->Increment();
-      }
-      se.estimate = est;
-      NoteSegmentOutcome(probe, enabled, s,
-                         ok ? SegOutcome::kLocal : SegOutcome::kFallback,
-                         prob);
-    }
-    out.push_back(se);
-  }
-  if (enabled) {
-    m.locals_us->Record(phase.ElapsedMicros());
-    m.total_us->Record(total.ElapsedMicros());
-    m.queries->Increment();
-    m.evaluated->Add(static_cast<int64_t>(selected.size()));
-    m.pruned->Add(static_cast<int64_t>(locals_.size() - selected.size()));
-    m.selected_hist->Record(static_cast<double>(selected.size()));
-  }
-  return out;
+  return forced;
 }
 
 double GlEstimator::Estimate(const EstimateRequest& request) {
@@ -487,31 +379,21 @@ double GlEstimator::Estimate(const EstimateRequest& request) {
 }
 
 double GlEstimator::Estimate(const EstimateRequest& request) const {
-  // A sized span must match the trained dimensionality; the legacy shims
-  // pass an empty span (length unknown, trusted for dim_ floats).
-  if (!request.query.empty() && request.query.size() != dim_) {
+  // A sized span must match the trained dimensionality; an empty span with
+  // a non-null pointer means "length unknown" and is trusted for dim_
+  // floats.
+  if (request.query.data() == nullptr ||
+      (!request.query.empty() && request.query.size() != dim_)) {
     if (obs::MetricsEnabled()) QueryMetrics().fb_invalid_query->Increment();
     return 0.0;
   }
-  double total = 0.0;
-  for (const SegmentEstimate& se :
-       EstimatePerSegment(request.query.data(), request.tau,
-                          request.options.policy, request.options.probe)) {
-    total += se.estimate;
-  }
-  // A cardinality is a count over the dataset: clamp to [0, |D|] so no
-  // degradation path can surface an impossible answer.
-  const double dataset_size =
-      static_cast<double>(segmentation_.assignment.size());
-  if (!std::isfinite(total) || total < 0.0) {
-    if (obs::MetricsEnabled()) QueryMetrics().fb_clamped->Increment();
-    return 0.0;
-  }
-  if (total > dataset_size) {
-    if (obs::MetricsEnabled()) QueryMetrics().fb_clamped->Increment();
-    return dataset_size;
-  }
-  return total;
+  // A batch of one: the batch kernel validates the row and the tau.
+  Matrix query = Matrix::Uninit(1, dim_);
+  query.SetRow(0, request.query.data());
+  EstimateProbe* probe = request.options.probe;
+  return EstimateSearchBatch(query, std::span<const float>(&request.tau, 1),
+                             request.options.policy,
+                             std::span<EstimateProbe* const>(&probe, 1))[0];
 }
 
 std::vector<double> GlEstimator::EstimateBatch(
@@ -541,8 +423,10 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
   Stopwatch phase;
   if (enabled) m.batch_rows->Record(static_cast<double>(batch));
 
-  // Per-row validation mirrors the single-query path: malformed rows answer
-  // 0 (with the same fallback counters) and drop out of the packed batch.
+  // An estimator must never turn a malformed query into NaN arithmetic: a
+  // non-finite query vector or threshold has no meaningful cardinality, so
+  // the row answers 0 (the only estimate valid for every dataset), records
+  // why, and drops out of the packed batch.
   std::vector<size_t> valid;
   valid.reserve(batch);
   for (size_t r = 0; r < batch; ++r) {
@@ -577,17 +461,15 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
   }
   const Matrix xc =
       BuildCentroidDistanceFeatures(*vq, segmentation_, metric_);
-  if (enabled) m.batch_features_us->Record(phase.ElapsedMicros());
+  if (enabled) m.features_us->Record(phase.ElapsedMicros());
 
-  // One global forward for the whole batch; routing is thresholded row by
-  // row through the same SelectWithGuards as the single-query path, so the
-  // per-query pruning decisions are identical. Each row's segment set is
-  // scattered straight into the per-segment row lists (the inverted
-  // routing): segments are walked in ascending order downstream, and each
-  // row was admitted to its segments in ascending order here, so every
-  // row's contributions accumulate in ascending-segment order — the same
-  // summation order as the single-query path, which is what keeps the
-  // final totals bitwise identical.
+  // One global forward for the whole batch, thresholded row by row
+  // (Algorithm 2). Each row's segment set is scattered straight into the
+  // per-segment row lists (the inverted routing): segments are walked in
+  // ascending order downstream, and each row was admitted to its segments
+  // in ascending order here, so every row's contributions accumulate in
+  // ascending-segment order whatever the batch size — which is what makes
+  // a row's answer independent of its batch mates, bit for bit.
   std::vector<std::vector<size_t>> rows_for_seg(n_seg);
   std::vector<uint32_t> sel_count(nv, 0);
   if (enabled) phase.Restart();
@@ -602,24 +484,18 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
     Matrix vtau = Matrix::Uninit(nv, 1);
     for (size_t i = 0; i < nv; ++i) vtau.at(i, 0) = taus[valid[i]];
     gprobs = global_->ApplyBatch(*vq, vtau, xc);
-    SelectScratch scratch;
+    std::vector<char> keep;
     std::vector<size_t> selected_row;
-    std::vector<char> forced_row;
     for (size_t i = 0; i < nv; ++i) {
       const float* src = gprobs.Row(i);
       if (enabled) {
         for (size_t s = 0; s < n_seg; ++s) m.global_prob->Record(src[s]);
       }
-      // Forced-include flags are only materialized when this row has a
-      // probe to receive them; probe-less batches keep the cheaper call.
-      EstimateProbe* probe = probe_for(i, valid);
-      SelectWithGuards(src, xc.Row(i), taus[valid[i]], &scratch,
-                       &selected_row, probe != nullptr ? &forced_row : nullptr);
+      const size_t forced = SelectWithGuards(src, xc.Row(i), taus[valid[i]],
+                                             &keep, &selected_row);
       sel_count[i] = static_cast<uint32_t>(selected_row.size());
-      if (probe != nullptr) {
-        for (char f : forced_row) {
-          if (f) probe->NoteForced();
-        }
+      if (EstimateProbe* probe = probe_for(i, valid)) {
+        for (size_t f = 0; f < forced; ++f) probe->NoteForced();
       }
       for (size_t s : selected_row) rows_for_seg[s].push_back(i);
     }
@@ -630,7 +506,7 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
     }
     for (size_t i = 0; i < nv; ++i) sel_count[i] = static_cast<uint32_t>(n_seg);
   }
-  if (enabled) m.batch_global_us->Record(phase.ElapsedMicros());
+  if (enabled) m.global_us->Record(phase.ElapsedMicros());
 
   if (enabled) phase.Restart();
   std::vector<double> sums(nv, 0.0);
@@ -648,8 +524,8 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
       }
       continue;
     }
-    // The policy is consulted once per (row, segment) pair, matching the
-    // single path's call count; rows it diverts answer from the fallback.
+    // The policy is consulted once per (row, segment) pair; rows it diverts
+    // answer from the fallback.
     eval_rows.clear();
     for (size_t i : rows) {
       if (policy != nullptr && policy->ForceFallback(s)) {
@@ -689,10 +565,10 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
       sums[i] += est;
     }
   }
-  if (enabled) m.batch_locals_us->Record(phase.ElapsedMicros());
+  if (enabled) m.locals_us->Record(phase.ElapsedMicros());
 
-  // Per-row clamp to [0, |D|] plus the per-query counters, identical to
-  // the single-query path.
+  // A cardinality is a count over the dataset: clamp each row to [0, |D|]
+  // so no degradation path can surface an impossible answer.
   const double dataset_size =
       static_cast<double>(segmentation_.assignment.size());
   for (size_t i = 0; i < nv; ++i) {
@@ -712,7 +588,7 @@ std::vector<double> GlEstimator::EstimateSearchBatch(
       m.selected_hist->Record(static_cast<double>(sel_count[i]));
     }
   }
-  if (enabled) m.batch_total_us->Record(total.ElapsedMicros());
+  if (enabled) m.total_us->Record(total.ElapsedMicros());
   return out;
 }
 

@@ -76,30 +76,16 @@ struct GlEstimatorConfig {
   static GlEstimatorConfig GlPlus();
 };
 
-/// \brief One segment's contribution to an estimate, with provenance.
-///
-/// Returned by EstimatePerSegment for the evaluated (selected) segments
-/// only. `used_fallback` is true when the answer came from the retained
-/// sampling fallback (quarantined model, policy override, or a non-finite
-/// local result); `forced` is true when the segment entered the selection
-/// through the triangle-inequality force-include rather than the global
-/// model's routing.
-struct SegmentEstimate {
-  size_t segment = 0;
-  double estimate = 0.0;
-  bool used_fallback = false;
-  bool forced = false;
-};
-
 /// \brief Global-local cardinality estimator.
 ///
-/// Inference (Estimate / EstimateSearchBatch / EstimatePerSegment /
-/// FallbackEstimate) is const and runs on the stateless nn Apply path, so
-/// any number of threads may share one trained instance; see src/serve/ for
-/// the serving layer built on that guarantee. Train / ApplyUpdates /
-/// ApplyDeletions / LoadFromFile mutate the estimator and must be
-/// externally serialized against concurrent readers (the serve layer clones
-/// via SaveToBytes / LoadFromBytes and swaps whole snapshots instead).
+/// Inference has one implementation, EstimateSearchBatch (Algorithm 2 over a
+/// batch of queries); Estimate is a batch of one. It is const and runs on
+/// the stateless nn Apply path, so any number of threads may share one
+/// trained instance; see src/serve/ for the serving layer built on that
+/// guarantee. Train / ApplyUpdates / ApplyDeletions / LoadFromFile mutate
+/// the estimator and must be externally serialized against concurrent
+/// readers (the serve layer clones via SaveToBytes / LoadFromBytes and swaps
+/// whole snapshots instead).
 class GlEstimator : public Estimator {
  public:
   explicit GlEstimator(GlEstimatorConfig config)
@@ -113,47 +99,31 @@ class GlEstimator : public Estimator {
   size_t ModelSizeBytes() const override;
 
   /// Const inference entry point: identical to the Estimator override.
+  /// Stages the query as a 1-row matrix and runs EstimateSearchBatch with
+  /// the request's policy and probe.
   double Estimate(const EstimateRequest& request) const;
 
-  /// \brief Batch-of-queries inference: one centroid-feature build and one
-  /// global forward for the whole batch, then one local forward per
-  /// *segment* covering every query routed to it, instead of one forward
-  /// per (query, segment).
+  /// \brief The GL inference path (Algorithm 2) for a batch of queries: one
+  /// centroid-feature build and one global forward for the whole batch,
+  /// then one local forward per *segment* covering every query routed to
+  /// it, instead of one forward per (query, segment).
   ///
-  /// Row i of `queries` pairs with `taus[i]`. Per-query routing decisions
-  /// (global-model thresholding, triangle guards, validation failures) are
-  /// identical to the single-query path, and in the default (non-SIMD)
-  /// build each returned estimate is bitwise equal to
-  /// Estimate(EstimateRequest{queries.Row(i), taus[i]}) — see DESIGN.md §11
-  /// and tests/core/batch_parity_test.cc. A stateful `policy` is the one
-  /// exception: its hooks fire in segment-major order here versus
-  /// query-major order in the single path, so order-sensitive policies
-  /// (e.g. a tripping circuit breaker) may diverge across the two.
+  /// Row i of `queries` pairs with `taus[i]`. Rows are independent: each
+  /// returned estimate is bitwise equal to the same row estimated alone (a
+  /// batch of one, i.e. Estimate) — see DESIGN.md §11 and
+  /// tests/core/batch_parity_test.cc. A stateful `policy` sees its hooks in
+  /// segment-major order, so in a batch of more than one an
+  /// order-sensitive policy (e.g. a tripping circuit breaker) may decide
+  /// differently than it would over the same rows one at a time.
   ///
   /// `probes`, when non-empty, is indexed by ORIGINAL row (probes[i] pairs
   /// with queries.Row(i)); null entries and short spans are fine. Each
-  /// row's probe receives the same per-segment provenance (and trace
-  /// events) the single-query path would produce for that row.
+  /// row's probe receives that row's per-segment provenance (and trace
+  /// events).
   std::vector<double> EstimateSearchBatch(
       const Matrix& queries, std::span<const float> taus,
       SegmentEvalPolicy* policy = nullptr,
       std::span<EstimateProbe* const> probes = {}) const;
-
-  /// Deprecated: build an EstimateRequest and call Estimate instead.
-  double EstimateSearch(const float* query, float tau,
-                        SegmentEvalPolicy* policy = nullptr) const {
-    EstimateRequest request{
-        std::span<const float>(query, static_cast<size_t>(0)), tau, {}};
-    request.options.policy = policy;
-    return Estimate(request);
-  }
-
-  /// Per-segment estimates for the selected segments only; used by tests
-  /// and the join estimator. `probe`, when non-null, collects per-segment
-  /// provenance (and publishes trace events when its TraceContext is set).
-  std::vector<SegmentEstimate> EstimatePerSegment(
-      const float* query, float tau, SegmentEvalPolicy* policy = nullptr,
-      EstimateProbe* probe = nullptr) const;
 
   /// Fraction of the true cardinality that falls in segments the global
   /// model did NOT select, averaged over all test samples with nonzero
@@ -286,23 +256,14 @@ class GlEstimator : public Estimator {
 
  private:
   CardModelConfig LocalConfig() const;
-  /// Reusable buffers for SelectWithGuards: the batch path routes many rows
-  /// back to back, so the per-segment guard masks live in caller scratch
-  /// instead of being reallocated per row.
-  struct SelectScratch {
-    std::vector<char> keep;
-    std::vector<char> forced;
-  };
-  /// Routing shared by the single-query and batch paths: thresholds the
-  /// global probabilities (`probs` holds one value per segment), applies
-  /// the triangle guards, and fills the evaluated segment set (ascending)
-  /// with a parallel forced-include flag (`forced_out` may be null when the
-  /// caller does not need the flags). Keeping one implementation is what
-  /// guarantees identical per-query pruning decisions across the two paths.
-  void SelectWithGuards(const float* probs, const float* xc, float tau,
-                        SelectScratch* scratch,
-                        std::vector<size_t>* selected_out,
-                        std::vector<char>* forced_out) const;
+  /// Routing for one row: thresholds the global probabilities (`probs`
+  /// holds one value per segment), applies the triangle guards, and fills
+  /// the evaluated segment set (ascending). `keep_scratch` is a reusable
+  /// per-segment mask, so routing a batch row by row does not reallocate.
+  /// Returns the number of triangle force-includes.
+  size_t SelectWithGuards(const float* probs, const float* xc, float tau,
+                          std::vector<char>* keep_scratch,
+                          std::vector<size_t>* selected_out) const;
   Status LoadLegacyV1(Deserializer* in, const std::string& path);
   Status LoadChecked(std::vector<uint8_t> bytes, LoadMode mode);
   /// Fine-tunes `segments` (ascending) with per-segment seed

@@ -186,18 +186,10 @@ void GlobalModel::Backward(const Matrix& grad) {
 
 std::vector<float> GlobalModel::Probabilities(const float* query, float tau,
                                               const float* xc) const {
-  Matrix xq(1, config_.query_dim);
-  xq.SetRow(0, query);
-  Matrix xt(1, 1);
-  xt.at(0, 0) = tau;
-  Matrix xcm(1, config_.num_segments);
-  xcm.SetRow(0, xc);
-  Matrix logits = ApplyLogits(xq, xt, xcm);
-  std::vector<float> probs(config_.num_segments);
-  for (size_t s = 0; s < probs.size(); ++s) {
-    probs[s] = nn::SigmoidScalar(logits.at(0, s));
-  }
-  return probs;
+  const Matrix probs = ApplyBatch(Matrix::RowVector(query, config_.query_dim),
+                                  Matrix::RowVector(&tau, 1),
+                                  Matrix::RowVector(xc, config_.num_segments));
+  return std::vector<float>(probs.Row(0), probs.Row(0) + probs.cols());
 }
 
 Matrix GlobalModel::ApplyBatch(const Matrix& xq, const Matrix& xtau,

@@ -64,13 +64,14 @@ class GlobalModel {
   Matrix ApplyLogits(const Matrix& xq, const Matrix& xtau,
                      const Matrix& xc) const;
 
-  /// Per-segment selection probabilities for one query. Runs on the
-  /// stateless Apply path, so it is const and thread-safe.
+  /// Per-segment selection probabilities for one query: a batch of one
+  /// through ApplyBatch. Runs on the stateless Apply path, so it is const
+  /// and thread-safe.
   std::vector<float> Probabilities(const float* query, float tau,
                                    const float* xc) const;
 
-  /// Batch twin of Probabilities: one ApplyLogits over all rows, sigmoid
-  /// per element, returned as [B, num_segments]. Row i matches
+  /// One ApplyLogits over all rows, sigmoid per element, returned as
+  /// [B, num_segments]. Row i matches
   /// Probabilities(xq.Row(i), xtau.at(i,0), xc.Row(i)) bitwise (all layers
   /// are row-independent).
   Matrix ApplyBatch(const Matrix& xq, const Matrix& xtau,

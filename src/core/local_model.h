@@ -45,16 +45,18 @@ class LocalModel {
   /// segment's population (a segment cannot contain more matches than
   /// members — this bound also caps out-of-distribution blow-ups). A model
   /// that never saw a training sample answers 0: no training query matched
-  /// its segment, and an untrained network would emit noise.
+  /// its segment, and an untrained network would emit noise. A batch of one
+  /// through EstimateBatch.
   double Estimate(const float* query, float tau, const float* xc_row) const {
-    if (!trained_) return 0.0;
-    const double est = model_->EstimateCard(query, tau, xc_row);
-    return max_card_ > 0.0 ? std::min(est, max_card_) : est;
+    const CardModelConfig& c = model_->config();
+    return EstimateBatch(Matrix::RowVector(query, c.query_dim),
+                         Matrix::RowVector(&tau, 1),
+                         Matrix::RowVector(xc_row, c.aux_dim))[0];
   }
 
-  /// Batch twin of Estimate: row i answers Estimate(xq.Row(i), xtau.at(i,0),
-  /// xc.Row(i)) bitwise — same untrained-zero and population-clamp
-  /// semantics, one CardModel forward for all rows.
+  /// Row i answers Estimate(xq.Row(i), xtau.at(i,0), xc.Row(i)) bitwise —
+  /// same untrained-zero and population-clamp semantics, one CardModel
+  /// forward for all rows.
   std::vector<double> EstimateBatch(const Matrix& xq, const Matrix& xtau,
                                     const Matrix& xc) const {
     if (!trained_) return std::vector<double>(xq.rows(), 0.0);

@@ -220,15 +220,6 @@ void EstimationService::Drain() {
 
 std::future<EstimateResponse> EstimationService::Submit(
     const EstimateRequest& request) {
-  return SubmitInternal(
-      std::vector<float>(request.query.begin(), request.query.end()),
-      request.tau, request.options.deadline_ms,
-      request.options.allow_feedback_correction);
-}
-
-std::future<EstimateResponse> EstimationService::SubmitInternal(
-    std::vector<float> query, float tau, double deadline_ms,
-    bool allow_feedback) {
   const bool enabled = obs::MetricsEnabled();
   ServeMetrics& m = Metrics();
   if (enabled) m.requests->Increment();
@@ -272,12 +263,14 @@ std::future<EstimateResponse> EstimationService::SubmitInternal(
                         "queue_depth", static_cast<double>(prev + 1));
   }
 
-  if (deadline_ms <= 0.0) deadline_ms = options_.default_deadline_ms;
+  const double deadline_ms = request.options.deadline_ms > 0.0
+                                 ? request.options.deadline_ms
+                                 : options_.default_deadline_ms;
   Pending item;
-  item.query = std::move(query);
-  item.tau = tau;
+  item.query.assign(request.query.begin(), request.query.end());
+  item.tau = request.tau;
   item.request_id = request_id;
-  item.allow_feedback = allow_feedback;
+  item.allow_feedback = request.options.allow_feedback_correction;
   item.trace = std::move(trace);
   item.submitted = Clock::now();
   item.deadline =
@@ -461,30 +454,16 @@ void EstimationService::ProcessBatch(std::vector<Pending>* batch_ptr) {
   }
 
   const Clock::time_point eval_start = Clock::now();
-  std::vector<double> estimates;
-  if (eval.size() == 1) {
-    // A batch of one takes the single-query path: identical estimates (the
-    // batch kernel is parity-tested against it) and no Matrix staging.
-    const Pending& p = batch[eval[0]];
-    EstimateRequest request;
-    request.query = std::span<const float>(p.query.data(), p.query.size());
-    request.tau = p.tau;
-    request.options.policy = &breaker_;
-    request.options.probe = &probes[0];
-    estimates.push_back(snapshot.estimator->Estimate(request));
-  } else {
-    if (metrics_on) m.batch_evals->Increment();
-    Matrix queries = Matrix::Uninit(eval.size(), dim);
-    std::vector<float> taus(eval.size());
-    for (size_t j = 0; j < eval.size(); ++j) {
-      queries.SetRow(j, batch[eval[j]].query.data());
-      taus[j] = batch[eval[j]].tau;
-    }
-    estimates = snapshot.estimator->EstimateSearchBatch(
-        queries, std::span<const float>(taus.data(), taus.size()), &breaker_,
-        std::span<EstimateProbe* const>(probe_ptrs.data(),
-                                        probe_ptrs.size()));
+  if (metrics_on && eval.size() > 1) m.batch_evals->Increment();
+  Matrix queries = Matrix::Uninit(eval.size(), dim);
+  std::vector<float> taus(eval.size());
+  for (size_t j = 0; j < eval.size(); ++j) {
+    queries.SetRow(j, batch[eval[j]].query.data());
+    taus[j] = batch[eval[j]].tau;
   }
+  const std::vector<double> estimates = snapshot.estimator->EstimateSearchBatch(
+      queries, std::span<const float>(taus.data(), taus.size()), &breaker_,
+      std::span<EstimateProbe* const>(probe_ptrs.data(), probe_ptrs.size()));
 
   for (size_t j = 0; j < eval.size(); ++j) {
     const size_t i = eval[j];

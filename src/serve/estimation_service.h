@@ -9,15 +9,16 @@
 // model keeps failing to the sampling fallback through a per-segment circuit
 // breaker (the SegmentEvalPolicy hook in core/estimator.h).
 //
-// Micro-batching: when ServeOptions::max_batch > 1 each worker drains up to
-// max_batch queued requests per pass — waiting up to batch_linger_us for a
-// burst to accumulate — and evaluates them through
-// GlEstimator::EstimateSearchBatch (one feature build + one global forward +
-// one local forward per segment for the whole batch). Every future is still
-// fulfilled individually, deadlines are still checked per request at dequeue
-// and after evaluation, and a failure injected into one batch member never
-// touches its batch mates. max_batch = 1 (the default) preserves the
-// one-request-per-worker behavior exactly.
+// Every evaluation goes through GlEstimator::EstimateSearchBatch (one
+// feature build + one global forward + one local forward per segment for
+// the whole batch). Micro-batching: when ServeOptions::max_batch > 1 each
+// worker drains up to max_batch queued requests per pass — waiting up to
+// batch_linger_us for a burst to accumulate — and evaluates them as one
+// batch. Every future is still fulfilled individually, deadlines are still
+// checked per request at dequeue and after evaluation, and a failure
+// injected into one batch member never touches its batch mates. max_batch =
+// 1 (the default) evaluates one request per worker pass, as a batch of one;
+// simcard.batch.evals counts only batches of more than one.
 //
 // Observability (all gated on obs::MetricsEnabled()):
 //   counters   simcard.serve.requests, .accepted, .shed, .deadline_exceeded,
@@ -199,21 +200,6 @@ class EstimationService {
   /// with kUnavailable.
   std::future<EstimateResponse> Submit(const EstimateRequest& request);
 
-  /// Deprecated: build an EstimateRequest and call Submit(request) instead.
-  std::future<EstimateResponse> Submit(const float* query, size_t dim,
-                                       float tau) {
-    return SubmitInternal(std::vector<float>(query, query + dim), tau,
-                          options_.default_deadline_ms,
-                          /*allow_feedback=*/true);
-  }
-
-  /// Deprecated: build an EstimateRequest and call Submit(request) instead.
-  std::future<EstimateResponse> Submit(std::vector<float> query, float tau,
-                                       double deadline_ms) {
-    return SubmitInternal(std::move(query), tau, deadline_ms,
-                          /*allow_feedback=*/true);
-  }
-
   /// Blocks until every accepted request has completed.
   void Drain();
 
@@ -281,9 +267,6 @@ class EstimationService {
                          double base_estimate, uint64_t epoch,
                          const EstimateProbe& probe);
 
-  std::future<EstimateResponse> SubmitInternal(std::vector<float> query,
-                                               float tau, double deadline_ms,
-                                               bool allow_feedback);
   void WorkerLoop();
   void ProcessBatch(std::vector<Pending>* batch);
 

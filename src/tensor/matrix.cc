@@ -22,7 +22,13 @@ Matrix Matrix::Gaussian(size_t rows, size_t cols, float stddev, Rng* rng) {
 }
 
 Matrix Matrix::RowVector(const std::vector<float>& values) {
-  return Matrix(1, values.size(), values);
+  return RowVector(values.data(), values.size());
+}
+
+Matrix Matrix::RowVector(const float* values, size_t n) {
+  Matrix m = Uninit(1, n);
+  std::copy(values, values + n, m.data());
+  return m;
 }
 
 void Matrix::Fill(float value) {

@@ -77,6 +77,7 @@ class Matrix {
 
   /// Wraps one row of external data (copies it) as a 1xN matrix.
   static Matrix RowVector(const std::vector<float>& values);
+  static Matrix RowVector(const float* values, size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

@@ -4,11 +4,9 @@
 // matrices. The forward-path kernels (MatMul, MatMulTransposeB) are cache
 // blocked for batched inference, but every output element still accumulates
 // its products in ascending reduction-index order, so results are bitwise
-// identical to the naive loops — that ordering contract is what makes
-// batch-of-queries inference reproduce single-query results exactly
-// (DESIGN.md §11). Building with -DSIMCARD_SIMD=ON adds explicit
-// vectorization hints and a multi-accumulator dot product that reassociate
-// the FP sums for extra throughput at the cost of that guarantee.
+// identical to the naive loops — that ordering contract is what makes each
+// row of a batched inference answer exactly as it would alone
+// (DESIGN.md §11).
 #ifndef SIMCARD_TENSOR_OPS_H_
 #define SIMCARD_TENSOR_OPS_H_
 

@@ -1,23 +1,33 @@
-// Pins the batched inference path to the single-query path bit for bit.
+// Pins GL inference bit for bit, against itself and against a reference.
 //
-// EstimateSearchBatch shares SelectWithGuards with the single path and
-// accumulates per-row sums in the same ascending-segment order, so on a
-// deterministic model batch and single answers must be EXACTLY equal — not
-// approximately. Any reassociation of the floating-point reductions (in the
-// blocked matmuls, the batched distance kernel, or the per-segment sum)
-// breaks these EXPECT_EQ checks. Coverage includes invalid rows, mixed
+// EstimateSearchBatch is the one GL inference path; Estimate is a batch of
+// one. Two properties are checked EXACTLY — not approximately:
+//   - row independence: a row's answer (and probe) does not depend on its
+//     batch mates or its position, so a batch equals N batches of one;
+//   - the composed reference: Algorithm 2 rebuilt in this file from the
+//     public per-layer primitives (CentroidDistanceRow, GlobalModel::
+//     Probabilities, SelectSegments + the triangle rules, an ascending sum
+//     of LocalModel::Estimate or the segment fallback) gives the same bits
+//     as Estimate, so the production routing loop has a check that does
+//     not share its code.
+// Any reassociation of the floating-point reductions (in the blocked
+// matmuls, the batched distance kernel, or the per-segment sum) breaks
+// these EXPECT_EQ checks. Coverage includes invalid rows, mixed
 // valid/invalid batches, quarantined locals answering through the sampling
 // fallback, and the default Estimator::EstimateBatch loop on a baseline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "common/checked_file.h"
 #include "common/rng.h"
+#include "core/features.h"
 #include "core/gl_estimator.h"
 #include "dist/metric.h"
 #include "baselines/sampling_estimator.h"
@@ -59,6 +69,16 @@ const GlEstimator& TrainedGlCnn() {
   return *est;
 }
 
+const GlEstimator& TrainedLocalPlus() {
+  static const GlEstimator* est = [] {
+    auto* e = new GlEstimator(FastConfig(GlEstimatorConfig::LocalPlus()));
+    TrainContext ctx = MakeTrainContext(SharedEnv());
+    EXPECT_TRUE(e->Train(ctx).ok());
+    return e;
+  }();
+  return *est;
+}
+
 double Single(const GlEstimator& est, const float* q, size_t dim, float tau) {
   EstimateRequest request;
   request.query = std::span<const float>(q, dim);
@@ -66,22 +86,147 @@ double Single(const GlEstimator& est, const float* q, size_t dim, float tau) {
   return est.Estimate(request);
 }
 
-// Every (test query, threshold) pair of the workload in one batch: the
-// batched path must reproduce the single-query path exactly, including all
+// Algorithm 2 composed from the public per-layer primitives, one query at a
+// time: x_C, the global model's probabilities thresholded at sigma, the
+// triangle exclude/force rules, then the selected segments' local models
+// (or retained samples, for a quarantined slot) summed in ascending order
+// and clamped to [0, |D|].
+double ComposedReference(const GlEstimator& est, const float* q, float tau) {
+  const Segmentation& seg = est.segmentation();
+  const std::vector<float> xc =
+      CentroidDistanceRow(q, seg, est.dim(), est.metric());
+  const size_t n_seg = est.num_local_models();
+  std::vector<char> selected(n_seg, 1);  // Local+: every segment
+  if (const GlobalModel* global = est.global_model()) {
+    selected.assign(n_seg, 0);
+    for (size_t s :
+         global->SelectSegments(global->Probabilities(q, tau, xc.data()))) {
+      selected[s] = 1;
+    }
+    if (est.config().use_triangle_guards) {
+      for (size_t s = 0; s < n_seg; ++s) {
+        if (xc[s] > tau + seg.radius[s]) selected[s] = 0;  // holds no match
+        if (xc[s] <= tau) selected[s] = 1;  // centroid within tau
+      }
+    }
+  }
+  double sum = 0.0;
+  for (size_t s = 0; s < n_seg; ++s) {
+    if (selected[s] == 0) continue;
+    const LocalModel* local = est.local_model(s);
+    sum += local != nullptr ? local->Estimate(q, tau, xc.data())
+                            : est.segment_fallback(s).Estimate(
+                                  q, tau, est.dim(), est.metric());
+  }
+  const double population = static_cast<double>(seg.assignment.size());
+  return std::clamp(sum, 0.0, population);
+}
+
+// Every (test query, threshold) pair of the workload, as row pointers.
+struct WorkloadPairs {
+  std::vector<const float*> rows;
+  std::vector<float> taus;
+};
+
+WorkloadPairs AllPairs(const SearchWorkload& wl) {
+  WorkloadPairs pairs;
+  for (const auto& lq : wl.test) {
+    for (const auto& t : lq.thresholds) {
+      pairs.rows.push_back(wl.test_queries.Row(lq.row));
+      pairs.taus.push_back(t.tau);
+    }
+  }
+  return pairs;
+}
+
+void ExpectMatchesComposedReference(const GlEstimator& est) {
+  const SearchWorkload& wl = SharedEnv().workload;
+  const WorkloadPairs pairs = AllPairs(wl);
+  ASSERT_GT(pairs.rows.size(), 16u);
+  for (size_t i = 0; i < pairs.rows.size(); ++i) {
+    EXPECT_EQ(Single(est, pairs.rows[i], est.dim(), pairs.taus[i]),
+              ComposedReference(est, pairs.rows[i], pairs.taus[i]))
+        << est.Name() << " pair " << i;
+  }
+}
+
+TEST(BatchParityTest, GlCnnMatchesComposedReference) {
+  ExpectMatchesComposedReference(TrainedGlCnn());
+}
+
+TEST(BatchParityTest, LocalPlusMatchesComposedReference) {
+  const GlEstimator& est = TrainedLocalPlus();
+  ASSERT_EQ(est.global_model(), nullptr);
+  ExpectMatchesComposedReference(est);
+}
+
+// The whole workload as one batch in a seeded random order: every row's
+// answer and probe equal those of the same row run as a batch of one.
+void ExpectRowsIndependent(const GlEstimator& est) {
+  const WorkloadPairs pairs = AllPairs(SharedEnv().workload);
+  const size_t n = pairs.rows.size();
+  const size_t dim = est.dim();
+  std::vector<size_t> order(n);
+  std::iota(order.begin(), order.end(), size_t{0});
+  Rng rng(91);
+  for (size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng.NextBounded(i)]);
+  }
+
+  Matrix queries(n, dim);
+  std::vector<float> taus(n);
+  std::vector<EstimateProbe> probes(n);
+  std::vector<EstimateProbe*> probe_ptrs(n);
+  for (size_t j = 0; j < n; ++j) {
+    queries.SetRow(j, pairs.rows[order[j]]);
+    taus[j] = pairs.taus[order[j]];
+    probe_ptrs[j] = &probes[j];
+  }
+  const std::vector<double> batch = est.EstimateSearchBatch(
+      queries, std::span<const float>(taus.data(), n), nullptr,
+      std::span<EstimateProbe* const>(probe_ptrs.data(), n));
+  ASSERT_EQ(batch.size(), n);
+
+  for (size_t j = 0; j < n; ++j) {
+    Matrix one(1, dim);
+    one.SetRow(0, queries.Row(j));
+    EstimateProbe alone;
+    EstimateProbe* alone_ptr = &alone;
+    const std::vector<double> single = est.EstimateSearchBatch(
+        one, std::span<const float>(&taus[j], 1), nullptr,
+        std::span<EstimateProbe* const>(&alone_ptr, 1));
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(batch[j], single[0]) << est.Name() << " row " << j;
+    const EstimateProbe& p = probes[j];
+    EXPECT_EQ(p.evaluated, alone.evaluated) << "row " << j;
+    EXPECT_EQ(p.forced_segments, alone.forced_segments) << "row " << j;
+    EXPECT_EQ(p.fallback_segments, alone.fallback_segments) << "row " << j;
+    ASSERT_EQ(p.stored, alone.stored) << "row " << j;
+    for (size_t k = 0; k < p.stored; ++k) {
+      EXPECT_EQ(p.segments[k], alone.segments[k]) << "row " << j;
+      EXPECT_EQ(p.probs[k], alone.probs[k]) << "row " << j;
+    }
+  }
+}
+
+TEST(BatchParityTest, GlCnnPermutedBatchEqualsBatchesOfOne) {
+  ExpectRowsIndependent(TrainedGlCnn());
+}
+
+TEST(BatchParityTest, LocalPlusPermutedBatchEqualsBatchesOfOne) {
+  ExpectRowsIndependent(TrainedLocalPlus());
+}
+
+// Every (test query, threshold) pair of the workload in one batch: each row
+// must answer exactly as Estimate (a batch of one) does, including all
 // per-row pruning decisions.
 TEST(BatchParityTest, WholeWorkloadBitwiseEqual) {
   const GlEstimator& est = TrainedGlCnn();
   const SearchWorkload& wl = SharedEnv().workload;
   const size_t dim = wl.test_queries.cols();
-
-  std::vector<const float*> rows;
-  std::vector<float> taus;
-  for (const auto& lq : wl.test) {
-    for (const auto& t : lq.thresholds) {
-      rows.push_back(wl.test_queries.Row(lq.row));
-      taus.push_back(t.tau);
-    }
-  }
+  const WorkloadPairs pairs = AllPairs(wl);
+  const std::vector<const float*>& rows = pairs.rows;
+  const std::vector<float>& taus = pairs.taus;
   ASSERT_GT(rows.size(), 16u);
 
   Matrix queries(rows.size(), dim);
@@ -94,9 +239,8 @@ TEST(BatchParityTest, WholeWorkloadBitwiseEqual) {
   }
 }
 
-// Invalid rows (non-finite query, NaN/negative tau) answer 0.0 in both
-// paths, and their presence must not disturb the valid rows packed around
-// them.
+// Invalid rows (non-finite query, NaN/negative tau) answer 0.0, and their
+// presence must not disturb the valid rows packed around them.
 TEST(BatchParityTest, InvalidRowsIsolatedInMixedBatch) {
   const GlEstimator& est = TrainedGlCnn();
   const SearchWorkload& wl = SharedEnv().workload;
@@ -140,8 +284,8 @@ TEST(BatchParityTest, ShortTauSpanZeroesTail) {
 }
 
 // Quarantined locals (degraded load) answer through the sampling fallback;
-// the batch path must route those rows through the same fallback and stay
-// bitwise-equal to the single path.
+// a batch must route those rows through the same fallback as a batch of
+// one, and both must match the composed reference.
 TEST(BatchParityTest, QuarantinedSegmentRowsMatchSinglePath) {
   const GlEstimator& trained = TrainedGlCnn();
   const std::string path = testing::TempDir() + "/batch_parity_model.bin";
@@ -196,6 +340,9 @@ TEST(BatchParityTest, QuarantinedSegmentRowsMatchSinglePath) {
   ASSERT_EQ(batch.size(), n);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(batch[i], Single(degraded, wl.test_queries.Row(i), dim, taus[i]))
+        << "row " << i;
+    EXPECT_EQ(batch[i],
+              ComposedReference(degraded, wl.test_queries.Row(i), taus[i]))
         << "row " << i;
   }
   std::remove(path.c_str());

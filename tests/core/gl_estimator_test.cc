@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "common/checked_file.h"
+#include "core/features.h"
 #include "eval/harness.h"
 #include "support/request_helpers.h"
 
@@ -83,9 +84,15 @@ TEST(GlEstimatorTest, LocalPlusEvaluatesAllSegments) {
   TrainContext ctx = MakeTrainContext(env);
   ASSERT_TRUE(est.Train(ctx).ok());
   EXPECT_EQ(est.global_model(), nullptr);
-  const float* q = env.workload.test_queries.Row(0);
-  auto per_seg = est.EstimatePerSegment(q, 0.2f);
-  EXPECT_EQ(per_seg.size(), env.segmentation.num_segments());
+  EstimateProbe probe;
+  EstimateRequest request;
+  request.query = std::span<const float>(env.workload.test_queries.Row(0),
+                                         est.dim());
+  request.tau = 0.2f;
+  request.options.probe = &probe;
+  est.Estimate(request);
+  EXPECT_EQ(probe.evaluated, env.segmentation.num_segments());
+  EXPECT_EQ(probe.forced_segments, 0u);
 }
 
 TEST(GlEstimatorTest, GlobalSelectsFewSegments) {
@@ -113,11 +120,23 @@ TEST(GlEstimatorTest, SumOfSegmentsEqualsSearchEstimate) {
   ASSERT_TRUE(est.Train(ctx).ok());
   const float* q = env.workload.test_queries.Row(1);
   const float tau = env.workload.test[1].thresholds[3].tau;
+  EstimateProbe probe;
+  EstimateRequest request;
+  request.query = std::span<const float>(q, est.dim());
+  request.tau = tau;
+  request.options.probe = &probe;
+  const double estimate = est.Estimate(request);
+  // The probe names the evaluated segments; summing their local models in
+  // that (ascending) order reproduces the estimate.
+  ASSERT_EQ(probe.fallback_segments, 0u);
+  ASSERT_EQ(probe.stored, probe.evaluated);
+  const std::vector<float> xc =
+      CentroidDistanceRow(q, est.segmentation(), est.dim(), est.metric());
   double sum = 0.0;
-  for (const SegmentEstimate& se : est.EstimatePerSegment(q, tau)) {
-    sum += se.estimate;
+  for (size_t k = 0; k < probe.stored; ++k) {
+    sum += est.local_model(probe.segments[k])->Estimate(q, tau, xc.data());
   }
-  EXPECT_NEAR(EstimateCard(est, q, tau), sum, 1e-9 + 1e-6 * sum);
+  EXPECT_EQ(estimate, sum);
 }
 
 TEST(GlEstimatorTest, EstimateMonotoneInTau) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+
 #include "core/gl_estimator.h"
 #include "eval/harness.h"
 
@@ -77,8 +79,17 @@ TEST(TriangleGuardsTest, InclusionBackstopsForcedMiss) {
   auto xc = est.segmentation().CentroidDistances(q, env.dataset.dim(),
                                                  env.dataset.metric());
   const float big_tau = *std::max_element(xc.begin(), xc.end()) + 0.1f;
-  auto per_seg = est.EstimatePerSegment(q, big_tau);
-  EXPECT_EQ(per_seg.size(), est.segmentation().num_segments());
+  EstimateProbe probe;
+  EstimateRequest request;
+  request.query = std::span<const float>(q, est.dim());
+  request.tau = big_tau;
+  request.options.probe = &probe;
+  est.Estimate(request);
+  const size_t n_seg = est.segmentation().num_segments();
+  EXPECT_EQ(probe.evaluated, n_seg);
+  // The global model's selection is never empty, so at most the other
+  // segments came in through the force-include.
+  EXPECT_LT(probe.forced_segments, n_seg);
 }
 
 }  // namespace

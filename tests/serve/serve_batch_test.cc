@@ -74,7 +74,7 @@ class ServeBatchTest : public ::testing::Test {
 
 // One worker with a generous linger: a burst submitted together must be
 // drained as one batch, every response carrying the coalesced batch size and
-// the exact answer the single-query path would give.
+// the exact answer a direct Estimate (a batch of one) gives.
 TEST_F(ServeBatchTest, BurstCoalescesAndMatchesSinglePath) {
   ModelRegistry registry;
   registry.Publish(SharedModel());

@@ -41,6 +41,16 @@ struct Tier {
   std::unique_ptr<ShardedEstimationService> service;
 };
 
+// Options for the parity tests: they check the primary path, so no hedge
+// may race it. Under CPU contention a primary can miss the hedge delay and
+// the sampling fallback would answer instead (hedging is covered with
+// fixed delays in shard_hedge_test).
+ShardedServeOptions PrimaryOnly() {
+  ShardedServeOptions options;
+  options.hedge.enabled = false;
+  return options;
+}
+
 Tier MakeTier(size_t n, ShardedServeOptions options = {}) {
   const shardtest::CachedBuild& build = SharedBuild(n);
   Tier tier;
@@ -110,7 +120,7 @@ TEST_F(ShardedServiceTest, SingleShardMatchesPlainServiceBitwise) {
   plain_registry.Publish(build.models[0]);
   serve::EstimationService plain(&plain_registry, serve::ServeOptions{});
 
-  Tier tier = MakeTier(1);
+  Tier tier = MakeTier(1, PrimaryOnly());
   const Matrix& queries = SharedEnv().workload.test_queries;
   const size_t dim = queries.cols();
   for (size_t q = 0; q < std::min<size_t>(queries.rows(), 12); ++q) {
@@ -132,7 +142,7 @@ TEST_F(ShardedServiceTest, SingleShardMatchesPlainServiceBitwise) {
 TEST_F(ShardedServiceTest, MultiShardTotalIsSumOfPerShardEstimates) {
   const size_t n = 3;
   const shardtest::CachedBuild& build = SharedBuild(n);
-  Tier tier = MakeTier(n);
+  Tier tier = MakeTier(n, PrimaryOnly());
   const Matrix& queries = SharedEnv().workload.test_queries;
   const size_t dim = queries.cols();
   for (size_t q = 0; q < std::min<size_t>(queries.rows(), 12); ++q) {

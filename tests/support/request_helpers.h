@@ -1,8 +1,7 @@
 // Shared test plumbing for the unified estimation API: builds an
-// EstimateRequest the way production callers do, so tests stop going
-// through the deprecated EstimateSearch/Submit shims (enforced by
-// scripts/check_api_deprecations.sh, which gates tests/ too; the shims
-// themselves stay covered by tests/core/deprecated_shim_test.cc).
+// EstimateRequest the way production callers do (the removed
+// EstimateSearch/Submit overloads stay out of tests/ too, enforced by
+// scripts/check_api_deprecations.sh).
 #ifndef SIMCARD_TESTS_SUPPORT_REQUEST_HELPERS_H_
 #define SIMCARD_TESTS_SUPPORT_REQUEST_HELPERS_H_
 
@@ -15,9 +14,9 @@ namespace simcard {
 namespace testsupport {
 
 // Single-query estimate card(q, tau, D) through Estimate(EstimateRequest).
-// The span is passed in the legacy length-unknown encoding (empty span,
-// non-null data) because most tests hold a bare row pointer; the estimator
-// trusts it for dim() floats, exactly like the shim the tests migrated off.
+// The span is passed in the length-unknown encoding (empty span, non-null
+// data) because most tests hold a bare row pointer; the estimator trusts it
+// for dim() floats.
 inline double EstimateCard(Estimator& est, const float* query, float tau,
                            SegmentEvalPolicy* policy = nullptr) {
   EstimateRequest request;
